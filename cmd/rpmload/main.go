@@ -5,7 +5,7 @@
 // requests/sec on a fixed schedule regardless of responses — measures
 // latency under a target arrival rate, the methodology that avoids
 // coordinated omission). Latencies accumulate into an obs.Summary, the
-// same power-of-two-bucket histogram the server reports, so client- and
+// same log-linear histogram the server reports, so client- and
 // server-side percentiles are directly comparable.
 //
 // A 429 (load shed) is not a failure: it is the server's backpressure

@@ -2,7 +2,7 @@
 // classifier snapshot (*.json, written by Classifier.Save / rpmcli
 // -save) from a model directory into a versioned, hot-reloadable
 // registry and serves predictions over HTTP, amortizing per-request
-// transform cost through an adaptive micro-batcher (see DESIGN.md §10).
+// transform cost through a work-conserving micro-batcher (see DESIGN.md §10).
 //
 // Usage:
 //
@@ -62,8 +62,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		models       = flag.String("models", "", "directory of saved model snapshots (*.json); required")
-		maxBatch     = flag.Int("max-batch", 16, "micro-batch flush size")
-		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "longest a request waits for batch-mates before flushing")
+		maxBatch     = flag.Int("max-batch", 16, "most queued predicts one micro-batch flush carries")
 		queueSize    = flag.Int("queue", 256, "batch queue bound; a full queue sheds with 429")
 		workers      = flag.Int("workers", 0, "predict fan-out per flush (0 = all cores, 1 = sequential)")
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (queueing + prediction)")
@@ -90,7 +89,6 @@ func main() {
 	cfg := serve.Config{
 		ModelDir:         *models,
 		MaxBatch:         *maxBatch,
-		MaxDelay:         *maxDelay,
 		QueueSize:        *queueSize,
 		Workers:          *workers,
 		RequestTimeout:   *timeout,
@@ -167,8 +165,8 @@ func run(addr string, cfg serve.Config, drainTimeout time.Duration, debug bool, 
 	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("serving on %s (models=%s maxBatch=%d maxDelay=%s queue=%d maxStreams=%d)",
-			addr, cfg.ModelDir, cfg.MaxBatch, cfg.MaxDelay, cfg.QueueSize, cfg.MaxStreams)
+		log.Printf("serving on %s (models=%s maxBatch=%d queue=%d maxStreams=%d)",
+			addr, cfg.ModelDir, cfg.MaxBatch, cfg.QueueSize, cfg.MaxStreams)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

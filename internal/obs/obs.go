@@ -26,6 +26,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strings"
@@ -209,15 +210,21 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// summaryBuckets is the number of power-of-two latency buckets a Summary
-// tracks: bucket i counts observations in [2^i, 2^(i+1)) nanoseconds,
-// with bucket 0 also absorbing sub-nanosecond values and the last bucket
-// absorbing everything ≥ 2^(summaryBuckets-1) ns (~9.2 s and beyond —
-// far past any request this repo serves).
-const summaryBuckets = 34
+// Summary buckets are log-linear, in the style of an HDR histogram:
+// values below summarySub nanoseconds get one exact bucket each, and
+// every octave [2^e, 2^(e+1)) above is split into summarySub equal-width
+// sub-buckets. A sub-bucket starting at lo is lo/summarySub wide at
+// most, so reporting its upper edge over-states a quantile by at most
+// 1/summarySub = 12.5% and never under-states it. The buckets span all
+// of int64, so nothing clamps.
+const (
+	summarySubBits = 3
+	summarySub     = 1 << summarySubBits
+	summaryBuckets = summarySub + (63-summarySubBits)*summarySub
+)
 
 // Summary is a duration accumulator with approximate quantiles: count,
-// sum, min, max plus a fixed set of power-of-two histogram buckets, all
+// sum, min, max plus a fixed set of log-linear histogram buckets, all
 // atomics. It is the latency measure of the serving layer, where a plain
 // Span's accumulated wall time hides tail behavior. A nil *Summary is a
 // valid no-op handle; all methods are goroutine-safe.
@@ -257,14 +264,28 @@ func (s *Summary) Observe(d time.Duration) {
 	s.buckets[summaryBucket(ns)].Add(1)
 }
 
-// summaryBucket maps a nanosecond value to its power-of-two bucket.
+// summaryBucket maps a non-negative nanosecond value to its bucket: the
+// value itself below summarySub, else the octave's base index plus the
+// summarySubBits bits that follow the leading one.
 func summaryBucket(ns int64) int {
-	b := 0
-	for ns > 1 && b < summaryBuckets-1 {
-		ns >>= 1
-		b++
+	if ns < summarySub {
+		return int(ns)
 	}
-	return b
+	e := bits.Len64(uint64(ns)) - 1 // ns is in [2^e, 2^(e+1)), e >= summarySubBits
+	sub := int(ns>>(e-summarySubBits)) - summarySub
+	return summarySub + (e-summarySubBits)*summarySub + sub
+}
+
+// summaryBucketMax is the largest value bucket i holds (its inclusive
+// upper edge), the value a quantile falling in the bucket reports.
+func summaryBucketMax(i int) int64 {
+	if i < summarySub {
+		return int64(i)
+	}
+	e := (i-summarySub)/summarySub + summarySubBits
+	sub := (i - summarySub) % summarySub
+	width := int64(1) << (e - summarySubBits)
+	return int64(summarySub+sub)*width + width - 1
 }
 
 // Count returns the number of observations (0 on nil).
@@ -454,9 +475,9 @@ type GaugeSnapshot struct {
 }
 
 // SummarySnapshot is one latency summary's state. The quantiles are
-// approximate: each is the upper bound of the power-of-two bucket the
-// quantile falls in (so they over-report by at most 2x), which is enough
-// to see tail behavior without per-observation storage.
+// approximate: each is the upper edge of the log-linear bucket the
+// quantile falls in, capped at the observed maximum, so it over-reports
+// the true quantile by at most 12.5% and never under-reports it.
 type SummarySnapshot struct {
 	Name   string `json:"name"`
 	Count  int64  `json:"count"`
@@ -561,7 +582,7 @@ func snapSummary(s *Summary) SummarySnapshot {
 		for i, c := range counts {
 			seen += c
 			if seen > rank {
-				return int64(1) << uint(i+1) // bucket upper bound
+				return min(summaryBucketMax(i), out.MaxNS)
 			}
 		}
 		return out.MaxNS

@@ -25,15 +25,17 @@ func TestSummaryNilSafety(t *testing.T) {
 	}
 }
 
-// TestSummaryBuckets pins the bucket mapping: [2^i, 2^(i+1)) → i, with
-// clamping at both ends.
+// TestSummaryBuckets pins the log-linear bucket mapping: exact buckets
+// below 8 ns, then 8 equal sub-buckets per octave, with every bucket's
+// upper edge one below the next bucket's first value.
 func TestSummaryBuckets(t *testing.T) {
 	cases := []struct {
 		ns   int64
 		want int
 	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3},
-		{1023, 9}, {1024, 10},
+		{0, 0}, {1, 1}, {7, 7}, {8, 8}, {15, 15},
+		{16, 16}, {17, 16}, {18, 17}, {31, 23}, {32, 24},
+		{1023, 63}, {1024, 64}, {1152, 65},
 		{math.MaxInt64, summaryBuckets - 1},
 	}
 	for _, c := range cases {
@@ -41,10 +43,63 @@ func TestSummaryBuckets(t *testing.T) {
 			t.Errorf("summaryBucket(%d) = %d, want %d", c.ns, got, c.want)
 		}
 	}
+	for i := 0; i < summaryBuckets-1; i++ {
+		hi := summaryBucketMax(i)
+		if summaryBucket(hi) != i || summaryBucket(hi+1) != i+1 {
+			t.Fatalf("bucket %d: upper edge %d maps to %d, next value to %d",
+				i, hi, summaryBucket(hi), summaryBucket(hi+1))
+		}
+	}
+	if got := summaryBucketMax(summaryBuckets - 1); got != math.MaxInt64 {
+		t.Fatalf("last bucket upper edge = %d, want MaxInt64", got)
+	}
+}
+
+// TestSummaryQuantileBound checks the documented accuracy: on known
+// distributions every reported quantile lies in [true, true×1.125],
+// where true is the value at the quantile's rank in sorted order.
+func TestSummaryQuantileBound(t *testing.T) {
+	const n = 10000
+	cases := []struct {
+		name string
+		at   func(i int) time.Duration // i-th of n values, ascending
+	}{
+		{"uniform 1us-10ms", func(i int) time.Duration {
+			return time.Microsecond + time.Duration(i)*(10*time.Millisecond-time.Microsecond)/n
+		}},
+		{"exponential 1.7ms", func(i int) time.Duration {
+			return time.Duration(-math.Log(1-float64(i)/n) * 1.7e6)
+		}},
+		{"log-uniform 100ns-1s", func(i int) time.Duration {
+			return time.Duration(100 * math.Pow(1e7, float64(i)/n))
+		}},
+		{"constant 1.7ms", func(int) time.Duration { return 1700 * time.Microsecond }},
+		{"small exact 0-7ns", func(i int) time.Duration { return time.Duration(i * 8 / n) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			s := r.Summary("q")
+			for i := 0; i < n; i++ {
+				s.Observe(c.at(i))
+			}
+			snap := r.Snapshot().Summary("q")
+			for _, q := range []struct {
+				name string
+				got  int64
+				p    float64
+			}{{"p50", snap.P50NS, 0.50}, {"p90", snap.P90NS, 0.90}, {"p99", snap.P99NS, 0.99}} {
+				want := int64(c.at(int(q.p * n)))
+				if q.got < want || float64(q.got) > 1.125*float64(want) {
+					t.Errorf("%s = %d ns, want within [%d, %d]", q.name, q.got, want, int64(1.125*float64(want)))
+				}
+			}
+		})
+	}
 }
 
 // TestSummaryStatistics checks count/sum/min/max/mean and that the
-// approximate quantiles bracket the true ones within the 2x bucket bound.
+// approximate quantiles bracket the true ones within the 12.5% bound.
 func TestSummaryStatistics(t *testing.T) {
 	r := NewRegistry()
 	s := r.Summary("lat")
@@ -69,19 +124,19 @@ func TestSummaryStatistics(t *testing.T) {
 	if snap.MeanNS != wantSum/100 {
 		t.Fatalf("mean = %d, want %d", snap.MeanNS, wantSum/100)
 	}
-	// True p50 is 50-51 µs; the bucket upper bound may over-report by ≤2x
-	// and never under-reports below the true value's bucket lower bound.
+	// The value at rank q·100 is (q·100+1) µs; the bucket's upper edge
+	// over-reports it by at most 12.5% and never under-reports it.
 	check := func(name string, got int64, trueQ time.Duration) {
-		if got < int64(trueQ)/2 || got > 2*int64(trueQ) {
-			t.Errorf("%s = %s, want within 2x of %s", name, time.Duration(got), trueQ)
+		if got < int64(trueQ) || float64(got) > 1.125*float64(trueQ) {
+			t.Errorf("%s = %s, want within 12.5%% above %s", name, time.Duration(got), trueQ)
 		}
 	}
-	check("p50", snap.P50NS, 50*time.Microsecond)
-	check("p90", snap.P90NS, 90*time.Microsecond)
-	check("p99", snap.P99NS, 99*time.Microsecond)
-	// Quantiles are monotone.
-	if snap.P50NS > snap.P90NS || snap.P90NS > snap.P99NS {
-		t.Fatalf("quantiles not monotone: %d %d %d", snap.P50NS, snap.P90NS, snap.P99NS)
+	check("p50", snap.P50NS, 51*time.Microsecond)
+	check("p90", snap.P90NS, 91*time.Microsecond)
+	check("p99", snap.P99NS, 100*time.Microsecond)
+	// Quantiles are monotone and never exceed the maximum.
+	if snap.P50NS > snap.P90NS || snap.P90NS > snap.P99NS || snap.P99NS > snap.MaxNS {
+		t.Fatalf("quantiles not monotone: %d %d %d (max %d)", snap.P50NS, snap.P90NS, snap.P99NS, snap.MaxNS)
 	}
 }
 

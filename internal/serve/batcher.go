@@ -19,6 +19,9 @@ type predRequest struct {
 	// shed with its context error (→ 504) instead of being computed for
 	// a caller that stopped listening (the queue-age admission check).
 	ctx context.Context
+	// enqueued is stamped by enqueue; the flush measures the request's
+	// queue wait (serve.phase.queue_wait) from it.
+	enqueued time.Time
 	// out is buffered (capacity 1) so a flush never blocks on a caller
 	// that gave up waiting (deadline, disconnect).
 	out chan predResponse
@@ -30,21 +33,22 @@ type predResponse struct {
 	err   error
 }
 
-// batcher is the adaptive micro-batcher: single-prediction requests
-// queue into a bounded channel and are flushed to one PredictBatch call
-// when either maxBatch requests have accumulated or maxDelay has elapsed
-// since the first request of the batch. The first request of a batch
-// therefore waits at most maxDelay; under load batches fill instantly
+// batcher is the work-conserving micro-batcher: single-prediction
+// requests queue into a bounded channel, and one goroutine (loop) turns
+// them into PredictBatch calls. An idle batcher blocks for the first
+// request, takes whatever else is already queued (up to maxBatch)
+// without waiting, and flushes at once. Requests that arrive during a
+// flush queue up and form the next batch, so batches fill under load
 // and per-request transform overhead amortizes across the worker pool
-// inside PredictBatchContext.
+// inside PredictBatchContext, while a lone request never waits for
+// batch-mates that are not coming.
 //
-// One goroutine (loop) owns batch assembly; flushes resolve the model
-// from the store at flush time, so a hot reload redirects the very next
-// flush to the new model without dropping anything queued.
+// Flushes resolve the model from the store at flush time, so a hot
+// reload redirects the very next flush to the new model without
+// dropping anything queued.
 type batcher struct {
 	store    *Store
 	maxBatch int
-	maxDelay time.Duration
 	faults   *faults.Injector
 
 	queue    chan *predRequest
@@ -52,12 +56,14 @@ type batcher struct {
 	quitOnce sync.Once
 	done     chan struct{}
 
-	batches  *obs.Counter
-	items    *obs.Counter
-	expired  *obs.Counter
-	injected *obs.Counter
-	depth    *obs.Gauge
-	pool     *obs.Pool
+	batches   *obs.Counter
+	items     *obs.Counter
+	expired   *obs.Counter
+	injected  *obs.Counter
+	depth     *obs.Gauge
+	pool      *obs.Pool
+	queueWait *obs.Summary
+	compute   *obs.Summary
 
 	// scratch pools the per-flush assembly state (the rpm.Dataset rows
 	// handed to PredictBatch) so steady-state flushes reuse one backing
@@ -67,12 +73,13 @@ type batcher struct {
 	scratchNew *obs.Counter
 
 	// flushGate, when non-nil, turns every flush into a two-phase
-	// handshake: flush sends one token (announcing it has begun and is
-	// stalled) then receives one token (the release). It exists solely
-	// for tests that need a deterministically stalled batcher
-	// (queue-full shedding, reload-during-flight); it is nil in
-	// production and costs one nil check per flush.
-	flushGate chan struct{}
+	// handshake: flush sends its batch (announcing it has begun and is
+	// stalled) then receives one value (the release). It exists solely
+	// for tests that need a deterministically stalled batcher or want to
+	// see how batches form (queue-full shedding, reload-during-flight,
+	// batch formation); it is nil in production and costs one nil check
+	// per flush. The announced slice is valid until the release.
+	flushGate chan []*predRequest
 }
 
 // flushScratch is the reusable per-flush assembly state: the dataset
@@ -84,11 +91,10 @@ type flushScratch struct {
 	reqs []*predRequest
 }
 
-func newBatcher(store *Store, maxBatch, queueSize int, maxDelay time.Duration, reg *obs.Registry, inj *faults.Injector) *batcher {
+func newBatcher(store *Store, maxBatch, queueSize int, reg *obs.Registry, inj *faults.Injector) *batcher {
 	b := &batcher{
 		store:      store,
 		maxBatch:   maxBatch,
-		maxDelay:   maxDelay,
 		faults:     inj,
 		queue:      make(chan *predRequest, queueSize),
 		quit:       make(chan struct{}),
@@ -99,6 +105,8 @@ func newBatcher(store *Store, maxBatch, queueSize int, maxDelay time.Duration, r
 		injected:   reg.Counter(CtrFaultsInjected),
 		depth:      reg.Gauge(GaugeQueueDepth),
 		pool:       reg.Pool(PoolBatch),
+		queueWait:  reg.Summary(SumPhaseQueueWait),
+		compute:    reg.Summary(SumPhaseCompute),
 		scratchNew: reg.Counter(CtrFlushScratchNew),
 	}
 	b.scratch.New = func() any {
@@ -119,6 +127,7 @@ func (b *batcher) enqueue(r *predRequest) bool {
 		b.injected.Inc()
 		return false
 	}
+	r.enqueued = time.Now()
 	select {
 	case b.queue <- r:
 		b.depth.Set(int64(len(b.queue)))
@@ -128,36 +137,51 @@ func (b *batcher) enqueue(r *predRequest) bool {
 	}
 }
 
-// loop assembles and flushes batches until quit, then drains whatever
-// remains in the queue so graceful shutdown never strands a queued
-// request.
+// loop assembles and flushes batches until quit, then keeps assembling
+// until the queue is empty, so graceful shutdown never strands a queued
+// request: everything still queued is flushed in arrival order, in
+// groups of at most maxBatch. One batch slice serves every iteration and
+// is cleared after each flush, so an idle batcher pins no request.
 func (b *batcher) loop() {
 	defer close(b.done)
+	batch := make([]*predRequest, 0, b.maxBatch)
 	for {
-		var first *predRequest
-		select {
-		case <-b.quit:
-			b.drain()
-			return
-		case first = <-b.queue:
+		batch = b.assemble(batch[:0])
+		if len(batch) == 0 {
+			return // quit, and the queue is empty
 		}
-		batch := append(make([]*predRequest, 0, b.maxBatch), first)
-		timer := time.NewTimer(b.maxDelay)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case <-b.quit:
-				break collect
-			case r := <-b.queue:
-				batch = append(batch, r)
-			case <-timer.C:
-				break collect
-			}
-		}
-		timer.Stop()
-		b.depth.Set(int64(len(b.queue)))
 		b.flush(batch)
+		clear(batch)
 	}
+}
+
+// assemble builds the next batch in batch, which must be empty with
+// capacity maxBatch, so assembly never allocates. It blocks until a
+// request is queued or quit is closed, then takes whatever else is
+// already queued, without waiting, until the batch holds maxBatch
+// requests or the queue is empty. An empty result means quit is closed
+// and nothing is queued.
+//
+//rpmlint:hotpath batch assembly: fills the loop's reused batch slice in place
+func (b *batcher) assemble(batch []*predRequest) []*predRequest {
+	select {
+	case r := <-b.queue:
+		batch = batch[:1]
+		batch[0] = r
+	case <-b.quit:
+	}
+take:
+	for n := len(batch); n < b.maxBatch; n++ {
+		select {
+		case r := <-b.queue:
+			batch = batch[:n+1]
+			batch[n] = r
+		default:
+			break take
+		}
+	}
+	b.depth.Set(int64(len(b.queue)))
+	return batch
 }
 
 // stop signals the loop to drain and waits for it (or ctx). Safe to
@@ -172,26 +196,6 @@ func (b *batcher) stop(ctx context.Context) error {
 	}
 }
 
-// drain empties the queue after quit, flushing in maxBatch-sized groups.
-func (b *batcher) drain() {
-	var batch []*predRequest
-	for {
-		select {
-		case r := <-b.queue:
-			batch = append(batch, r)
-			if len(batch) >= b.maxBatch {
-				b.flush(batch)
-				batch = nil
-			}
-		default:
-			if len(batch) > 0 {
-				b.flush(batch)
-			}
-			return
-		}
-	}
-}
-
 // flush classifies one assembled batch. Requests are grouped by model
 // name (one PredictBatch call per distinct model, resolved from the
 // store at flush time so reloads take effect immediately); each group's
@@ -201,8 +205,8 @@ func (b *batcher) drain() {
 //rpmlint:hotpath PR6 serving flush: steady-state flush is allocation-free
 func (b *batcher) flush(batch []*predRequest) {
 	if b.flushGate != nil {
-		b.flushGate <- struct{}{} // announce: stalled at the gate
-		<-b.flushGate             // wait for release
+		b.flushGate <- batch // announce: stalled at the gate
+		<-b.flushGate        // wait for release
 	}
 	// Injected flush stall / latency spike (faults.SiteFlushDelay):
 	// sleeps before any model work, so queued requests age exactly as
@@ -220,6 +224,7 @@ func (b *batcher) flush(batch []*predRequest) {
 		//rpmlint:ignore hotpathalloc multi-model grouping is the accepted allocating slow path; single-model deployments never enter it
 		b.flushMulti(batch, sc)
 	}
+	delivered := time.Now() // every request of the batch has its answer
 	// Drop the request value references before pooling so an idle batcher
 	// does not pin the last batch's series.
 	clear(sc.ds[:cap(sc.ds)])
@@ -227,7 +232,11 @@ func (b *batcher) flush(batch []*predRequest) {
 	clear(sc.reqs[:cap(sc.reqs)])
 	sc.reqs = sc.reqs[:0]
 	b.scratch.Put(sc)
-	dur := time.Since(start)
+	dur := delivered.Sub(start)
+	for _, r := range batch {
+		b.queueWait.Observe(start.Sub(r.enqueued))
+		b.compute.Observe(dur)
+	}
 	b.batches.Inc()
 	b.items.Add(int64(len(batch)))
 	b.pool.WorkerTask(0, dur)

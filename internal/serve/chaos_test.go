@@ -205,7 +205,7 @@ func TestChaosLatencyStorm(t *testing.T) {
 func TestChaosStalledFlushDrain(t *testing.T) {
 	runTwice(t, func(t *testing.T, seed int64) (string, []string) {
 		s, ts, _, inj := newChaosServer(t, seed, "batcher.flush:p=1:d=20ms")
-		gate := make(chan struct{})
+		gate := make(chan []*predRequest)
 		s.batcher.flushGate = gate
 
 		type result struct {
@@ -244,11 +244,11 @@ func TestChaosStalledFlushDrain(t *testing.T) {
 		released := make(chan struct{})
 		go func() {
 			defer close(released)
-			gate <- struct{}{} // release A
+			gate <- nil // release A
 			for {
 				select {
 				case <-gate:
-					gate <- struct{}{}
+					gate <- nil
 				case <-s.batcher.done:
 					return
 				}

@@ -19,6 +19,11 @@ package serve
 //     that failed to load during them (corrupt snapshots).
 //   - SumLatencyPredict / SumLatencyBatch are per-endpoint latency
 //     summaries (count, mean, approximate p50/p90/p99, max).
+//   - SumPhaseQueueWait / SumPhaseCompute split each batched predict
+//     into its time in the batch queue (enqueue to flush start) and its
+//     time in the flush (flush start to label delivered). Both count one
+//     observation per batched request, so each count equals
+//     CtrBatchItems.
 //   - PoolBatch accounts the batcher as a one-worker pool: tasks are
 //     flushes, busy time is time spent inside PredictBatch.
 //   - SpanServe is the root span (its wall is server uptime); per-
@@ -70,6 +75,9 @@ const (
 	// SumLatencyStream is the per-append latency summary of the
 	// streaming path.
 	SumLatencyStream = "serve.latency.stream_append"
+
+	SumPhaseQueueWait = "serve.phase.queue_wait"
+	SumPhaseCompute   = "serve.phase.compute"
 
 	SpanServe        = "serve"
 	SpanPredict      = "predict"

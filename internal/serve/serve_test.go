@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rpm"
+	"rpm/internal/obs"
 )
 
 // ---------------------------------------------------------------------------
@@ -188,59 +190,116 @@ func TestPredictBatchEndpoint(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Micro-batching
 
-// TestBatchingAmortizes is the acceptance check: N concurrent
-// single-predict requests are served by fewer than N PredictBatch calls,
-// observable via the serve.batches counter, with every label still
-// byte-identical to direct Predict.
-func TestBatchingAmortizes(t *testing.T) {
-	const n = 8
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = n
-		c.MaxDelay = 100 * time.Millisecond
-	})
-	var wg sync.WaitGroup
-	labels := make([]int, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := fixProbe[i%len(fixProbe)]
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("cbf", in.Values))
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-				return
-			}
-			var out predictResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				errs[i] = err
-				return
-			}
-			labels[i] = out.Label
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+// predResult is one background single predict's outcome.
+type predResult struct {
+	status int
+	label  int
+	body   []byte
+	err    error // transport or read failure
+}
+
+// firePredict posts fixProbe[k] to /v1/predict in the background.
+func firePredict(ts *httptest.Server, k int) chan predResult {
+	ch := make(chan predResult, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(predictBody("cbf", fixProbe[k].Values)))
 		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+			ch <- predResult{err: err}
+			return
 		}
-		if want := fixClf1.Predict(fixProbe[i%len(fixProbe)].Values); labels[i] != want {
-			t.Fatalf("request %d: label %d != direct %d", i, labels[i], want)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		var out predictResponse
+		json.Unmarshal(body, &out)
+		ch <- predResult{status: resp.StatusCode, label: out.Label, body: body, err: err}
+	}()
+	return ch
+}
+
+// stallAndQueue makes batch formation deterministic through the flush
+// gate: probe 0 is taken by the loop and stalls at the gate, then probes
+// 1..n are sent one at a time, each only after the previous one is in
+// the queue, so they sit in the queue in arrival order behind the
+// stalled flush. It returns every request's result channel, indexed by
+// probe.
+func stallAndQueue(t *testing.T, s *Server, ts *httptest.Server, gate chan []*predRequest, n int) []chan predResult {
+	t.Helper()
+	results := []chan predResult{firePredict(ts, 0)}
+	if got := nextFlush(t, gate); !slices.Equal(got, []int{0}) {
+		t.Fatalf("stalled flush carries probes %v, want [0]", got)
+	}
+	for k := 1; k <= n; k++ {
+		results = append(results, firePredict(ts, k))
+		waitFor(t, func() bool { return len(s.batcher.queue) == k })
+	}
+	return results
+}
+
+// nextFlush waits for the next flush to stall at the gate and returns
+// the fixProbe indices of its batch, in batch order. The flush stays
+// stalled until the caller releases it with gate <- nil.
+func nextFlush(t *testing.T, gate chan []*predRequest) []int {
+	t.Helper()
+	select {
+	case batch := <-gate:
+		probes := make([]int, len(batch))
+		for i, r := range batch {
+			probes[i] = slices.IndexFunc(fixProbe, func(in rpm.Instance) bool { return slices.Equal(in.Values, r.values) })
+		}
+		return probes
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush reached the gate within 5s")
+		return nil
+	}
+}
+
+// checkLabels requires every result to be a 200 whose label is
+// byte-identical to direct Predict on the same probe.
+func checkLabels(t *testing.T, results []chan predResult) {
+	t.Helper()
+	for k, ch := range results {
+		res := <-ch
+		if res.err != nil {
+			t.Fatalf("probe %d: %v", k, res.err)
+		}
+		if res.status != http.StatusOK {
+			t.Fatalf("probe %d: status %d: %s", k, res.status, res.body)
+		}
+		if want := fixClf1.Predict(fixProbe[k].Values); res.label != want {
+			t.Fatalf("probe %d: label %d != direct %d", k, res.label, want)
 		}
 	}
+}
+
+// waitFlushes waits until the batcher has finished n flushes (the
+// counters move after the labels are delivered).
+func waitFlushes(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrBatches) == n })
+}
+
+// TestBatchingAmortizes is the acceptance check: N ≤ MaxBatch requests
+// that queue behind a stalled flush are answered by exactly one next
+// flush of N items, in arrival order, with every label byte-identical to
+// direct Predict.
+func TestBatchingAmortizes(t *testing.T) {
+	const n = 5
+	s, ts, _ := newTestServer(t, func(c *Config) { c.MaxBatch = 8 })
+	gate := make(chan []*predRequest)
+	s.batcher.flushGate = gate
+	results := stallAndQueue(t, s, ts, gate, n)
+	gate <- nil // release the stalled flush
+	if got := nextFlush(t, gate); !slices.Equal(got, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("next flush carries probes %v, want [1 2 3 4 5]", got)
+	}
+	gate <- nil
+	checkLabels(t, results)
+	waitFlushes(t, s, 2)
 	snap := s.reg.Snapshot()
-	batches, items := snap.Counter(CtrBatches), snap.Counter(CtrBatchItems)
-	if items != n {
-		t.Fatalf("batched items = %d, want %d", items, n)
+	if items := snap.Counter(CtrBatchItems); items != n+1 {
+		t.Fatalf("batched items = %d, want %d", items, n+1)
 	}
-	if batches >= n {
-		t.Fatalf("served %d requests in %d PredictBatch calls: batching did not amortize", n, batches)
-	}
-	if batches < 1 {
-		t.Fatalf("no batch flush recorded")
-	}
-	t.Logf("amortization: %d requests in %d flushes", n, batches)
-	if p := snap.Summary(SumLatencyPredict); p == nil || p.Count != n {
+	if p := snap.Summary(SumLatencyPredict); p == nil || p.Count != n+1 {
 		t.Fatalf("predict latency summary = %+v", p)
 	}
 	if pool := snap.Pools; len(pool) == 0 {
@@ -301,69 +360,123 @@ func TestFlushScratchReuse(t *testing.T) {
 	}
 }
 
-// TestFlushBySize: with a huge MaxDelay, exactly MaxBatch concurrent
-// requests trigger one size-driven flush (no timer involved).
+// TestFlushBySize: MaxBatch+k requests queued behind a stalled flush
+// flush as MaxBatch, then k, in arrival order.
 func TestFlushBySize(t *testing.T) {
-	const n = 4
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = n
-		c.MaxDelay = 10 * time.Second
-		c.RequestTimeout = 8 * time.Second
-	})
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[i].Values))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
-			}
-		}(i)
+	const maxBatch, k = 4, 2
+	s, ts, _ := newTestServer(t, func(c *Config) { c.MaxBatch = maxBatch })
+	gate := make(chan []*predRequest)
+	s.batcher.flushGate = gate
+	results := stallAndQueue(t, s, ts, gate, maxBatch+k)
+	gate <- nil
+	if got := nextFlush(t, gate); !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("first full flush carries probes %v, want [1 2 3 4]", got)
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("size-driven flush took %s; batcher waited for the timer", elapsed)
+	gate <- nil
+	if got := nextFlush(t, gate); !slices.Equal(got, []int{5, 6}) {
+		t.Fatalf("remainder flush carries probes %v, want [5 6]", got)
 	}
-	snap := s.reg.Snapshot()
-	if b := snap.Counter(CtrBatches); b != 1 {
-		t.Fatalf("flushes = %d, want exactly 1 size-driven flush", b)
-	}
-	if items := snap.Counter(CtrBatchItems); items != n {
-		t.Fatalf("items = %d, want %d", items, n)
+	gate <- nil
+	checkLabels(t, results)
+	waitFlushes(t, s, 3)
+	if items := s.reg.Snapshot().Counter(CtrBatchItems); items != 1+maxBatch+k {
+		t.Fatalf("items = %d, want %d", items, 1+maxBatch+k)
 	}
 }
 
-// TestFlushByTimer: fewer requests than MaxBatch still flush once
-// MaxDelay elapses.
-func TestFlushByTimer(t *testing.T) {
-	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 100
-		c.MaxDelay = 30 * time.Millisecond
-	})
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[i].Values))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
-			}
-		}(i)
+// TestFlushLoneRequest: a lone request on an idle batcher flushes at
+// once as a batch of 1; nothing waits for batch-mates.
+func TestFlushLoneRequest(t *testing.T) {
+	s, ts, _ := newTestServer(t, nil)
+	gate := make(chan []*predRequest)
+	s.batcher.flushGate = gate
+	res := firePredict(ts, 3)
+	if got := nextFlush(t, gate); !slices.Equal(got, []int{3}) {
+		t.Fatalf("lone flush carries probes %v, want [3]", got)
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timer flush took %s", elapsed)
+	gate <- nil
+	r := <-res
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
+	if r.status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.status, r.body)
+	}
+	if want := fixClf1.Predict(fixProbe[3].Values); r.label != want {
+		t.Fatalf("label %d != direct %d", r.label, want)
+	}
+	waitFlushes(t, s, 1)
+	if items := s.reg.Snapshot().Counter(CtrBatchItems); items != 1 {
+		t.Fatalf("items = %d, want 1", items)
+	}
+}
+
+// TestPhaseSummaries: every batched predict records one queue-wait and
+// one compute observation, and the predict:batch endpoint (which
+// bypasses the batcher) records neither. A request held in the queue
+// behind a stalled flush reports at least the stall as queue wait.
+func TestPhaseSummaries(t *testing.T) {
+	const n, stall = 3, 20 * time.Millisecond
+	s, ts, _ := newTestServer(t, nil)
+	gate := make(chan []*predRequest)
+	s.batcher.flushGate = gate
+	results := stallAndQueue(t, s, ts, gate, n)
+	time.Sleep(stall)
+	gate <- nil
+	nextFlush(t, gate)
+	gate <- nil
+	checkLabels(t, results)
+	req, _ := json.Marshal(predictBatchRequest{Model: "cbf", Series: [][]float64{fixProbe[0].Values}})
+	if resp, body := postJSON(t, ts.URL+"/v1/predict:batch", string(req)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch endpoint: %d %s", resp.StatusCode, body)
+	}
+	waitFlushes(t, s, 2)
 	snap := s.reg.Snapshot()
-	if b := snap.Counter(CtrBatches); b < 1 || b > 2 {
-		t.Fatalf("flushes = %d, want 1 or 2 timer-driven flushes", b)
+	items := snap.Counter(CtrBatchItems)
+	if items != n+1 {
+		t.Fatalf("batched items = %d, want %d", items, n+1)
 	}
-	if items := snap.Counter(CtrBatchItems); items != 2 {
-		t.Fatalf("items = %d, want 2", items)
+	wait, compute := snap.Summary(SumPhaseQueueWait), snap.Summary(SumPhaseCompute)
+	if wait == nil || compute == nil {
+		t.Fatal("phase summaries missing from the snapshot")
+	}
+	if wait.Count != items || compute.Count != items {
+		t.Fatalf("phase counts queue_wait=%d compute=%d, want both = %d batched predicts", wait.Count, compute.Count, items)
+	}
+	if wait.MaxNS < int64(stall) {
+		t.Fatalf("queue_wait max = %s, want >= the %s stall", time.Duration(wait.MaxNS), stall)
+	}
+	if compute.MinNS <= 0 {
+		t.Fatalf("compute min = %d, want > 0", compute.MinNS)
+	}
+}
+
+// TestBatchAssemblyAllocFree pins the steady-state cost of batch
+// assembly: enqueueing requests and assembling them into the reused
+// batch slice, MaxBatch at a time, allocates nothing.
+func TestBatchAssemblyAllocFree(t *testing.T) {
+	const maxBatch = 4
+	b := newBatcher(nil, maxBatch, 16, obs.NewRegistry(), nil)
+	reqs := make([]*predRequest, maxBatch+2)
+	for i := range reqs {
+		reqs[i] = &predRequest{model: "cbf", out: make(chan predResponse, 1)}
+	}
+	batch := make([]*predRequest, 0, maxBatch)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, r := range reqs {
+			if !b.enqueue(r) {
+				t.Fatal("queue full")
+			}
+		}
+		for _, want := range []int{maxBatch, 2} {
+			if batch = b.assemble(batch[:0]); len(batch) != want {
+				t.Fatalf("assembled %d requests, want %d", len(batch), want)
+			}
+			clear(batch)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("batch assembly allocates %.1f times per round, want 0", allocs)
 	}
 }
 
@@ -461,10 +574,9 @@ func TestShed429(t *testing.T) {
 	s, ts, _ := newTestServer(t, func(c *Config) {
 		c.MaxBatch = 1
 		c.QueueSize = 1
-		c.MaxDelay = time.Millisecond
 		c.RequestTimeout = 10 * time.Second
 	})
-	gate := make(chan struct{})
+	gate := make(chan []*predRequest)
 	s.batcher.flushGate = gate
 
 	type result struct {
@@ -499,9 +611,9 @@ func TestShed429(t *testing.T) {
 		t.Fatalf("shed envelope = %s (%v)", body, err)
 	}
 	// Release A's flush, then walk B's batch through the gate too.
-	gate <- struct{}{}
+	gate <- nil
 	<-gate
-	gate <- struct{}{}
+	gate <- nil
 	ra := <-a
 	rb := <-b
 	if ra.status != http.StatusOK || rb.status != http.StatusOK {
@@ -606,10 +718,9 @@ func TestHotReload(t *testing.T) {
 func TestHotReloadInFlight(t *testing.T) {
 	s, ts, dir := newTestServer(t, func(c *Config) {
 		c.MaxBatch = 1
-		c.MaxDelay = time.Millisecond
 		c.RequestTimeout = 10 * time.Second
 	})
-	gate := make(chan struct{})
+	gate := make(chan []*predRequest)
 	s.batcher.flushGate = gate
 	done := make(chan predictResponse, 1)
 	go func() {
@@ -627,7 +738,7 @@ func TestHotReloadInFlight(t *testing.T) {
 	if _, err := s.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	gate <- struct{}{} // release: flush resolves the freshly swapped model
+	gate <- nil // release: flush resolves the freshly swapped model
 	out := <-done
 	if out.Version != 2 {
 		t.Fatalf("in-flight request served by version %d, want the hot-swapped 2", out.Version)
@@ -640,36 +751,45 @@ func TestHotReloadInFlight(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Graceful drain
 
-// TestGracefulDrain: requests already queued when Close is called are
-// still answered; requests arriving during/after the drain get 503.
+// TestGracefulDrain: requests still queued when Close is called are
+// answered, flushed in arrival order in groups of at most MaxBatch;
+// requests arriving during/after the drain get 503.
 func TestGracefulDrain(t *testing.T) {
-	const n = 3
+	const n = 4
 	s, ts, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 100
-		c.MaxDelay = 10 * time.Second // flush only via drain
+		c.MaxBatch = 2
 		c.RequestTimeout = 8 * time.Second
 	})
-	results := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			resp, _ := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[i].Values))
-			results <- resp.StatusCode
-		}(i)
+	gate := make(chan []*predRequest)
+	s.batcher.flushGate = gate
+	results := stallAndQueue(t, s, ts, gate, n)
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		closed <- s.Close(ctx)
+	}()
+	// Release the stalled flush only once the batcher has been told to
+	// stop, so probes 1..4 are flushed by the shutdown path.
+	waitFor(t, func() bool {
+		select {
+		case <-s.batcher.quit:
+			return true
+		default:
+			return false
+		}
+	})
+	gate <- nil
+	for _, want := range [][]int{{1, 2}, {3, 4}} {
+		if got := nextFlush(t, gate); !slices.Equal(got, want) {
+			t.Fatalf("drain flush carries probes %v, want %v", got, want)
+		}
+		gate <- nil
 	}
-	// Wait until all n are inside the batcher (popped into the
-	// assembling batch or still queued), then drain.
-	waitFor(t, func() bool { return s.reg.Snapshot().Counter(CtrRequestsPredict) == n })
-	time.Sleep(50 * time.Millisecond) // let the handlers reach enqueue
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	for i := 0; i < n; i++ {
-		if status := <-results; status != http.StatusOK {
-			t.Fatalf("queued request drained with status %d, want 200", status)
-		}
-	}
+	checkLabels(t, results)
 	// The drained server refuses new work.
 	resp, body := postJSON(t, ts.URL+"/v1/predict", predictBody("", fixProbe[0].Values))
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -731,7 +851,6 @@ func TestModelsEndpoint(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	s, ts, dir := newTestServer(t, func(c *Config) {
 		c.MaxBatch = 8
-		c.MaxDelay = time.Millisecond
 	})
 	const clients, per = 4, 15
 	want1 := fixClf1.PredictBatch(fixProbe)

@@ -31,11 +31,10 @@ type Config struct {
 	// ModelDir is the directory of *.json classifier snapshots (written
 	// by Classifier.Save / rpmcli -save). Required.
 	ModelDir string
-	// MaxBatch is the micro-batcher's flush size (default 16).
+	// MaxBatch caps how many queued single predicts one micro-batch
+	// flush carries (default 16). The batcher never waits to fill a
+	// batch: it flushes whatever is queued as soon as it is idle.
 	MaxBatch int
-	// MaxDelay is the longest the first request of a batch waits for
-	// batch-mates before flushing anyway (default 2ms).
-	MaxDelay time.Duration
 	// QueueSize bounds the batch queue; a full queue sheds requests with
 	// 429 + Retry-After (default 256).
 	QueueSize int
@@ -80,9 +79,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
@@ -186,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 	if _, err := s.store.Reload(); err != nil {
 		return nil, err
 	}
-	s.batcher = newBatcher(s.store, cfg.MaxBatch, cfg.QueueSize, cfg.MaxDelay, reg, cfg.Faults)
+	s.batcher = newBatcher(s.store, cfg.MaxBatch, cfg.QueueSize, reg, cfg.Faults)
 	s.batcher.start()
 
 	s.mux = http.NewServeMux()

@@ -2,7 +2,7 @@
 // cmd/rpmserved: a stdlib-only HTTP inference layer that loads saved rpm
 // classifier snapshots into a versioned, atomically hot-reloadable model
 // store and serves single and batch predictions, amortizing per-request
-// transform cost through an adaptive micro-batcher (see DESIGN.md §10).
+// transform cost through a work-conserving micro-batcher (see DESIGN.md §10).
 //
 // The package composes the three substrates the earlier layers built:
 // the worker pool bounds per-flush predict fan-out (rpm.SetWorkers), the
