@@ -79,17 +79,18 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis (internal/lint via cmd/rpmlint): the
-# determinism, error-taxonomy, concurrency-discipline, and nil-safe-obs
-# invariants, mechanically enforced. Exit 1 on any finding; deliberate
+# determinism, error-taxonomy, concurrency-discipline, hot-path and
+# naming invariants, mechanically enforced. Exit 1 on any finding; deliberate
 # exceptions carry //rpmlint:ignore <analyzer> <reason> at the site.
 # See DESIGN.md §11.
 lint:
 	$(GO) run ./cmd/rpmlint ./...
 
 # Seeded-violation drill: one deliberately violating package per
-# interprocedural analyzer (hotpathalloc, ctxflow, obsnames, faultsite,
+# interprocedural analyzer (hotpathalloc, ctxflow, obsnames,
 # staleignore); rpmlint must exit 1 naming the analyzer, proving the
-# gate can still fail.
+# gate can still fail. Fault-site names need no drill: a raw string
+# passed as a faults.Site does not compile.
 lint-drill:
 	./scripts/lint_drill.sh
 

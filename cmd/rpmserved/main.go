@@ -59,6 +59,10 @@ import (
 )
 
 func main() {
+	var siteNames []string
+	for _, s := range faults.KnownSites() {
+		siteNames = append(siteNames, s.String())
+	}
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		models       = flag.String("models", "", "directory of saved model snapshots (*.json); required")
@@ -72,7 +76,7 @@ func main() {
 		streamDead   = flag.Int("stream-refractory", 0, "post-commit dead time in samples during which no further change commits")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget on SIGTERM/SIGINT")
 		noDebug      = flag.Bool("no-debug", false, "disable /debug/obs, /debug/vars and /debug/pprof")
-		faultSpec    = flag.String("faults", "", "chaos fault-injection spec, e.g. \"store.load:p=0.5;batcher.flush:d=50ms:n=3\" (sites: "+strings.Join(faults.KnownSites(), ", ")+"); empty = off")
+		faultSpec    = flag.String("faults", "", "chaos fault-injection spec, e.g. \"store.load:p=0.5;batcher.flush:d=50ms:n=3\" (sites: "+strings.Join(siteNames, ", ")+"); empty = off")
 		faultSeed    = flag.Int64("faults-seed", 1, "fault-injection seed; same seed + spec reproduces the exact injected sequence")
 	)
 	flag.Parse()

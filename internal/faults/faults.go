@@ -33,44 +33,54 @@ import (
 	"time"
 )
 
+// Site names one injection point. Its only values are the Site* vars
+// below: the name field is unexported, so code outside this package
+// cannot mint a site from a string, and consulting a site the serving
+// layer does not know about is a compile error rather than a silent
+// no-op. The zero Site is never armed.
+type Site struct{ name string }
+
+// String returns the site's spec name, e.g. "store.load".
+func (s Site) String() string { return s.name }
+
 // The injection sites internal/serve consults. Arming any other name is
 // a spec error, so typos fail fast instead of silently injecting
 // nothing.
-const (
+var (
 	// SiteStoreLoad fails a model snapshot read during Store.Reload,
 	// exercising the corrupt-reload path (old version keeps serving).
-	SiteStoreLoad = "store.load"
+	SiteStoreLoad = Site{"store.load"}
 	// SiteFlushDelay stalls the batcher's flush for the configured d
 	// before any prediction runs: a latency spike (small d) or a wedged
 	// flush (large d).
-	SiteFlushDelay = "batcher.flush"
+	SiteFlushDelay = Site{"batcher.flush"}
 	// SiteEnqueueFull makes the batcher report a saturated queue, so the
 	// server sheds the request with 429 + Retry-After.
-	SiteEnqueueFull = "batcher.enqueue"
+	SiteEnqueueFull = Site{"batcher.enqueue"}
 	// SiteDeadline expires a request's deadline before it is enqueued,
 	// exercising the queue-age admission check (504, never computed).
-	SiteDeadline = "server.deadline"
+	SiteDeadline = Site{"server.deadline"}
 	// SiteWriteFail aborts the response write of a successful
 	// prediction, simulating a client connection dying at write time.
-	SiteWriteFail = "server.write"
+	SiteWriteFail = Site{"server.write"}
 	// SiteStreamAppend sheds a stream append with 429 as if the stream
 	// layer were saturated, exercising client retry against a live
 	// detector (a shed append must change nothing: no samples consumed,
 	// no events committed).
-	SiteStreamAppend = "stream.append"
+	SiteStreamAppend = Site{"stream.append"}
 	// SiteSSEFlush stalls an SSE event flush for the configured d, a slow
 	// or congested subscriber connection (events must coalesce, never
 	// duplicate or drop).
-	SiteSSEFlush = "stream.sse.flush"
+	SiteSSEFlush = Site{"stream.sse.flush"}
 	// SiteSSEWrite aborts an SSE connection mid-feed, a subscriber dying
 	// at write time; the stream itself must be unaffected and a
 	// reconnecting subscriber resumes losslessly via Last-Event-ID.
-	SiteSSEWrite = "stream.sse.write"
+	SiteSSEWrite = Site{"stream.sse.write"}
 )
 
-// KnownSites lists every site name New accepts, sorted.
-func KnownSites() []string {
-	return []string{
+// KnownSites lists every site New accepts, sorted by name.
+func KnownSites() []Site {
+	return []Site{
 		SiteEnqueueFull,
 		SiteFlushDelay,
 		SiteDeadline,
@@ -143,8 +153,10 @@ func New(seed int64, spec string) (*Injector, error) {
 		return nil, nil
 	}
 	known := map[string]bool{}
+	var names []string
 	for _, s := range KnownSites() {
-		known[s] = true
+		known[s.name] = true
+		names = append(names, s.name)
 	}
 	in := &Injector{sites: map[string]*site{}}
 	for _, part := range strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' }) {
@@ -155,7 +167,7 @@ func New(seed int64, spec string) (*Injector, error) {
 		fields := strings.Split(part, ":")
 		name := strings.TrimSpace(fields[0])
 		if !known[name] {
-			return nil, fmt.Errorf("faults: unknown site %q (known: %s)", name, strings.Join(KnownSites(), ", "))
+			return nil, fmt.Errorf("faults: unknown site %q (known: %s)", name, strings.Join(names, ", "))
 		}
 		if _, dup := in.sites[name]; dup {
 			return nil, fmt.Errorf("faults: site %q armed twice", name)
@@ -170,7 +182,9 @@ func New(seed int64, spec string) (*Injector, error) {
 			switch k {
 			case "p":
 				st.p, err = strconv.ParseFloat(v, 64)
-				if err == nil && (st.p <= 0 || st.p > 1) {
+				// Written so NaN, which fails every comparison, is
+				// rejected too.
+				if err == nil && !(st.p > 0 && st.p <= 1) {
 					err = fmt.Errorf("out of range (0,1]")
 				}
 			case "n":
@@ -207,13 +221,13 @@ func New(seed int64, spec string) (*Injector, error) {
 
 // decide runs one hit of a site under the injector lock and returns
 // (fired, per-site hit index, armed delay).
-func (in *Injector) decide(name, kind string) (bool, int, time.Duration) {
+func (in *Injector) decide(s Site, kind string) (bool, int, time.Duration) {
 	if in == nil {
 		return false, 0, 0
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	st, ok := in.sites[name]
+	st, ok := in.sites[s.name]
 	if !ok {
 		return false, 0, 0
 	}
@@ -231,32 +245,32 @@ func (in *Injector) decide(name, kind string) (bool, int, time.Duration) {
 		return false, hit, 0
 	}
 	st.fired++
-	in.log = append(in.log, Event{Seq: len(in.log), Site: name, Kind: kind, Hit: hit})
+	in.log = append(in.log, Event{Seq: len(in.log), Site: s.name, Kind: kind, Hit: hit})
 	return true, hit, st.delay
 }
 
 // Fire reports whether the site injects at this hit. No-op (false) on a
 // nil injector or an unarmed site.
-func (in *Injector) Fire(name string) bool {
-	fired, _, _ := in.decide(name, "fire")
+func (in *Injector) Fire(s Site) bool {
+	fired, _, _ := in.decide(s, "fire")
 	return fired
 }
 
 // Err returns the injected *Fault when the site fires, else nil.
-func (in *Injector) Err(name string) error {
-	fired, hit, _ := in.decide(name, "error")
+func (in *Injector) Err(s Site) error {
+	fired, hit, _ := in.decide(s, "error")
 	if !fired {
 		return nil
 	}
-	return &Fault{Site: name, Hit: hit}
+	return &Fault{Site: s.name, Hit: hit}
 }
 
 // Sleep blocks for the site's configured delay when it fires and
 // returns the injected duration (0 when it did not fire). The decision
 // is taken under the injector lock; the sleep itself is not, so
 // concurrent flushes stall independently.
-func (in *Injector) Sleep(name string) time.Duration {
-	fired, _, d := in.decide(name, "delay")
+func (in *Injector) Sleep(s Site) time.Duration {
+	fired, _, d := in.decide(s, "delay")
 	if !fired || d <= 0 {
 		return 0
 	}

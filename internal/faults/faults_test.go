@@ -54,7 +54,7 @@ func TestSpecParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{SiteFlushDelay, SiteStoreLoad, SiteDeadline}
+	want := []string{SiteFlushDelay.String(), SiteStoreLoad.String(), SiteDeadline.String()}
 	if got := in.Armed(); !reflect.DeepEqual(got, sortedCopy(want)) {
 		t.Fatalf("Armed = %v, want %v", got, sortedCopy(want))
 	}
@@ -67,6 +67,7 @@ func TestSpecParsing(t *testing.T) {
 		"store.load:p",           // malformed option
 		"store.load:p=2",         // p out of range
 		"store.load:p=0",         // p out of range
+		"store.load:p=NaN",       // p not a probability
 		"store.load:n=-1",        // negative n
 		"store.load:skip=-2",     // negative skip
 		"batcher.flush:d=-5ms",   // negative delay
@@ -122,7 +123,7 @@ func TestDeterministicSequence(t *testing.T) {
 	// n=5 caps the deadline site.
 	deadline := 0
 	for _, ev := range a {
-		if ev.Site == SiteDeadline {
+		if ev.Site == SiteDeadline.String() {
 			deadline++
 		}
 	}
@@ -172,7 +173,7 @@ func TestSkipAndAlwaysFire(t *testing.T) {
 	if !errors.As(err, &f) {
 		t.Fatalf("post-skip hit = %v, want *Fault", err)
 	}
-	if f.Site != SiteStoreLoad || f.Hit != 3 {
+	if f.Site != SiteStoreLoad.String() || f.Hit != 3 {
 		t.Fatalf("fault = %+v", f)
 	}
 	if !strings.Contains(f.Error(), "store.load") {
@@ -215,7 +216,7 @@ func TestSleepInjectsDelay(t *testing.T) {
 		t.Fatalf("n=1 site slept twice (%v)", d)
 	}
 	ev := in.Events()
-	if len(ev) != 1 || ev[0].Kind != "delay" || ev[0].Site != SiteFlushDelay {
+	if len(ev) != 1 || ev[0].Kind != "delay" || ev[0].Site != SiteFlushDelay.String() {
 		t.Fatalf("events = %v", ev)
 	}
 }
@@ -262,7 +263,10 @@ func TestConcurrentConsults(t *testing.T) {
 // TestKnownSitesSorted pins that KnownSites is sorted (it renders into
 // error messages and docs).
 func TestKnownSitesSorted(t *testing.T) {
-	ks := KnownSites()
+	var ks []string
+	for _, s := range KnownSites() {
+		ks = append(ks, s.String())
+	}
 	if !reflect.DeepEqual(ks, sortedCopy(ks)) {
 		t.Fatalf("KnownSites not sorted: %v", ks)
 	}

@@ -11,8 +11,8 @@ import (
 
 // This file is pass 1 of the two-pass facts engine (DESIGN.md §16): one
 // walk over every analyzed package computes a per-function summary — the
-// facts — and pass-2 analyzers (hotpathalloc, ctxflow, obsnames,
-// faultsite) consume them across package boundaries.
+// facts — and pass-2 analyzers (hotpathalloc, ctxflow, obsnames) consume
+// them across package boundaries.
 //
 // Facts are keyed by types.Object, canonicalized through a stable
 // (package path, receiver, name) key: the loader type-checks each target
@@ -51,17 +51,6 @@ type ObsRecord struct {
 	PkgPath string
 	Kind    string   // "Counter", "Gauge", "Pool", "Summary", "StartSpan", "Start", "Child"
 	Name    ast.Expr // the name argument
-	pkg     *Package
-}
-
-// FaultCall is one fault-injection decision site: a call to the
-// injector's Fire/Err/Sleep with the site name as first argument.
-type FaultCall struct {
-	Pos     token.Pos
-	PkgPath string
-	Fn      string   // "Fire", "Err" or "Sleep"
-	Arg     ast.Expr // the site-name argument
-	pkg     *Package
 }
 
 // FuncFact is the pass-1 summary of one function declaration.
@@ -69,7 +58,6 @@ type FuncFact struct {
 	Fn      *types.Func
 	PkgPath string
 	Decl    *ast.FuncDecl
-	pkg     *Package
 
 	// Hotpath is set when the declaration carries a //rpmlint:hotpath
 	// marker: the function (and everything it calls) must be
@@ -83,11 +71,6 @@ type FuncFact struct {
 	// package, same receiver type) that accepts a context, when one
 	// exists. A caller holding a ctx must prefer the variant.
 	CtxVariant *types.Func
-
-	// RecordsObs / HitsFaults report whether the body directly contains
-	// an obs-recording or fault-injection call site.
-	RecordsObs bool
-	HitsFaults bool
 
 	// Allocs are the body's own potentially-allocating constructs;
 	// Calls/Dynamic the outgoing edges hotpathalloc walks.
@@ -106,18 +89,13 @@ type Facts struct {
 	// (package path, then position).
 	roots []*FuncFact
 
-	// obsRecords / faultCalls are every recording / injection site seen.
+	// obsRecords is every recording site seen.
 	obsRecords []ObsRecord
-	faultCalls []FaultCall
 
 	// recordedConsts holds the canonical keys of string constants
 	// referenced inside the name argument of at least one obs-recording
 	// call (the "is this obsnames.go constant actually recorded?" index).
 	recordedConsts map[string]bool
-
-	// usedFaultSites holds, per canonical constant key, the package
-	// paths whose injection sites reference it.
-	usedFaultSites map[string][]string
 
 	// hotpathReported dedupes hotpathalloc diagnostics across the
 	// per-package passes (one finding per site, whichever root reaches
@@ -168,7 +146,6 @@ func ComputeFacts(cfg Config, pkgs []*Package) *Facts {
 		cfg:             cfg,
 		funcs:           map[string]*FuncFact{},
 		recordedConsts:  map[string]bool{},
-		usedFaultSites:  map[string][]string{},
 		hotpathReported: map[token.Pos]bool{},
 	}
 	if len(pkgs) > 0 {
@@ -185,7 +162,7 @@ func ComputeFacts(cfg Config, pkgs []*Package) *Facts {
 				if !ok {
 					continue
 				}
-				ff := &FuncFact{Fn: obj, PkgPath: pkg.ImportPath, Decl: fd, pkg: pkg}
+				ff := &FuncFact{Fn: obj, PkgPath: pkg.ImportPath, Decl: fd}
 				ff.Hotpath, ff.HotpathPos = hotpathMarked(fd)
 				ff.AcceptsCtx = acceptsCtx(obj)
 				f.collectBody(pkg, ff)
@@ -276,10 +253,6 @@ var obsRecordMethods = map[string]map[string]bool{
 	"Span":     {"Start": true, "Child": true},
 }
 
-// faultDecisionMethods are the injector entry points whose first
-// argument is a site name.
-var faultDecisionMethods = map[string]bool{"Fire": true, "Err": true, "Sleep": true}
-
 // recvTypeName returns the name of fn's receiver's named type ("" for
 // plain functions).
 func recvTypeName(fn *types.Func) string {
@@ -297,9 +270,8 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// collectRecordSites walks every file for obs-recording and
-// fault-injection call sites, filling the global indexes the obsnames
-// and faultsite analyzers consume.
+// collectRecordSites walks every file for obs-recording call sites,
+// filling the global indexes the obsnames analyzer consumes.
 func (f *Facts) collectRecordSites(pkgs []*Package) {
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -309,32 +281,16 @@ func (f *Facts) collectRecordSites(pkgs []*Package) {
 					return true
 				}
 				fn := calleeFunc(pkg.Info, call)
-				if fn == nil || fn.Pkg() == nil {
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != f.cfg.ObsPkg {
 					return true
 				}
-				recv := recvTypeName(fn)
-				switch fn.Pkg().Path() {
-				case f.cfg.ObsPkg:
-					if m := obsRecordMethods[recv]; m != nil && m[fn.Name()] {
-						f.obsRecords = append(f.obsRecords, ObsRecord{
-							Pos: call.Pos(), PkgPath: pkg.ImportPath,
-							Kind: fn.Name(), Name: call.Args[0], pkg: pkg,
-						})
-						for _, c := range constsIn(pkg.Info, call.Args[0]) {
-							f.recordedConsts[canonKey(c)] = true
-						}
-					}
-				case f.cfg.FaultsPkg:
-					if recv == "Injector" && faultDecisionMethods[fn.Name()] {
-						fc := FaultCall{
-							Pos: call.Pos(), PkgPath: pkg.ImportPath,
-							Fn: fn.Name(), Arg: call.Args[0], pkg: pkg,
-						}
-						f.faultCalls = append(f.faultCalls, fc)
-						for _, c := range constsIn(pkg.Info, call.Args[0]) {
-							key := canonKey(c)
-							f.usedFaultSites[key] = append(f.usedFaultSites[key], pkg.ImportPath)
-						}
+				if m := obsRecordMethods[recvTypeName(fn)]; m != nil && m[fn.Name()] {
+					f.obsRecords = append(f.obsRecords, ObsRecord{
+						Pos: call.Pos(), PkgPath: pkg.ImportPath,
+						Kind: fn.Name(), Name: call.Args[0],
+					})
+					for _, c := range constsIn(pkg.Info, call.Args[0]) {
+						f.recordedConsts[canonKey(c)] = true
 					}
 				}
 				return true
@@ -424,31 +380,6 @@ func (f *Facts) collectBody(pkg *Package, ff *FuncFact) {
 		return true
 	}
 	ast.Inspect(ff.Decl.Body, walk)
-
-	// RecordsObs / HitsFaults: a cheap re-scan keyed off the callee's
-	// package (the global site indexes are built separately with full
-	// argument context).
-	ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		switch fn.Pkg().Path() {
-		case f.cfg.ObsPkg:
-			if m := obsRecordMethods[recvTypeName(fn)]; m != nil && m[fn.Name()] {
-				ff.RecordsObs = true
-			}
-		case f.cfg.FaultsPkg:
-			if recvTypeName(fn) == "Injector" && faultDecisionMethods[fn.Name()] {
-				ff.HitsFaults = true
-			}
-		}
-		return true
-	})
 }
 
 // collectCall classifies one call expression inside a summarized body,

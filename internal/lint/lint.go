@@ -1,7 +1,7 @@
 // Package lint is the repo's stdlib-only static-analysis framework:
 // a tiny analyzer driver (go/parser + go/types + go/importer — no
 // golang.org/x/tools, preserving the zero-dependency policy) plus the
-// six project-specific analyzers behind cmd/rpmlint.
+// project-specific analyzers behind cmd/rpmlint.
 //
 // The analyzers mechanically enforce invariants that earlier PRs
 // established only by convention and spot tests:
@@ -19,9 +19,6 @@
 //	baregoroutine — no bare `go` statements outside the worker-pool /
 //	                serving / obs layers, so fan-out stays cancellable
 //	                and pool-accounted (PR 1 + PR 4).
-//	nilsafeobs    — every exported pointer-receiver method in
-//	                internal/obs begins with a nil-receiver guard
-//	                (PR 3: nil handles never steer).
 //	floateq       — no ==/!= between floating-point operands in
 //	                non-test code, except literal-0 sentinels.
 //
@@ -37,9 +34,6 @@
 //	obsnames      — every recorded metric/span name traces to a
 //	                constant in the owning package's obsnames.go; no
 //	                raw literals, duplicates, or dead names (PR 3).
-//	faultsite     — injector call sites name declared site constants,
-//	                and every declared site is exercised by the serving
-//	                layer (PR 7: chaos-suite drift).
 //	staleignore   — an //rpmlint:ignore that suppresses nothing is
 //	                itself a diagnostic (PR 5 ledger hygiene).
 //
@@ -72,8 +66,7 @@ type Config struct {
 	// byte-identical run to run (detmap, nondeterm).
 	DeterministicPkgs []string
 	// ObsPkg is the instrumentation package: calls into it are
-	// obs-recording (nondeterm exemption) and its exported
-	// pointer-receiver methods must be nil-guarded (nilsafeobs).
+	// obs-recording (nondeterm exemption, obsnames).
 	ObsPkg string
 	// ErrTaxonomyPkgs are the packages whose exported functions must
 	// route errors through their own typed taxonomy (errtaxonomy):
@@ -85,13 +78,6 @@ type Config struct {
 	// ending in "/") where bare `go` statements are allowed
 	// (baregoroutine).
 	GoroutineExemptPkgs []string
-	// FaultsPkg is the fault-injection package: its Injector methods
-	// are decision sites (faultsite) and facts record which functions
-	// reach them.
-	FaultsPkg string
-	// FaultsUsePkgs are the packages (exact, or prefixes when ending in
-	// "/") that must exercise every declared fault site (faultsite).
-	FaultsUsePkgs []string
 	// CmdPkgPrefixes are the import-path prefixes of binary entry
 	// points, where creating a root context with context.Background()
 	// is legitimate (ctxflow).
@@ -125,8 +111,6 @@ func Defaults() Config {
 			"rpm/internal/obs",
 			"rpm/cmd/",
 		},
-		FaultsPkg:      "rpm/internal/faults",
-		FaultsUsePkgs:  []string{"rpm/internal/serve"},
 		CmdPkgPrefixes: []string{"rpm/cmd/"},
 	}
 }
@@ -156,12 +140,6 @@ func (c Config) errTaxonomyChecked(path string) bool {
 // goroutineExempt reports whether path may contain bare go statements.
 func (c Config) goroutineExempt(path string) bool {
 	return matchPkg(c.GoroutineExemptPkgs, path)
-}
-
-// faultsUse reports whether path belongs to the layer that must
-// exercise every declared fault site.
-func (c Config) faultsUse(path string) bool {
-	return matchPkg(c.FaultsUsePkgs, path)
 }
 
 // cmdPkg reports whether path is a binary entry point (ctxflow's
@@ -350,12 +328,10 @@ func Analyzers() []*Analyzer {
 		NonDeterm,
 		ErrTaxonomy,
 		BareGoroutine,
-		NilSafeObs,
 		FloatEq,
 		HotPathAlloc,
 		CtxFlow,
 		ObsNames,
-		FaultSite,
 		StaleIgnore,
 	}
 }

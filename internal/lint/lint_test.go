@@ -15,8 +15,6 @@ func fixtureConfig() Config {
 		ObsPkg:              "lintfix/nondeterm/obs",
 		ErrTaxonomyPkgs:     []string{"lintfix/errtaxonomy", "lintfix/errtaxonomy/second"},
 		GoroutineExemptPkgs: []string{"lintfix/baregoroutine/pool"},
-		FaultsPkg:           "lintfix/faultsite/faults",
-		FaultsUsePkgs:       []string{"lintfix/faultsite/serve"},
 		CmdPkgPrefixes:      []string{"lintfix/ctxflow/cmd/"},
 	}
 }
@@ -105,12 +103,6 @@ func TestBareGoroutineGolden(t *testing.T) {
 	runGolden(t, fixtureConfig(), "./baregoroutine/...", BareGoroutine)
 }
 
-func TestNilSafeObsGolden(t *testing.T) {
-	cfg := fixtureConfig()
-	cfg.ObsPkg = "lintfix/nilsafeobs"
-	runGolden(t, cfg, "./nilsafeobs/...", NilSafeObs)
-}
-
 func TestFloatEqGolden(t *testing.T) {
 	runGolden(t, fixtureConfig(), "./floateq/...", FloatEq)
 }
@@ -135,10 +127,6 @@ func TestObsNamesGolden(t *testing.T) {
 	runGolden(t, cfg, "./obsnames/...", ObsNames)
 }
 
-func TestFaultSiteGolden(t *testing.T) {
-	runGolden(t, fixtureConfig(), "./faultsite/...", FaultSite)
-}
-
 // TestStaleIgnoreGolden runs floateq alongside staleignore so the
 // fixture's live directive has something to suppress while the stale
 // one is reported.
@@ -146,12 +134,12 @@ func TestStaleIgnoreGolden(t *testing.T) {
 	runGolden(t, fixtureConfig(), "./staleignore", FloatEq, StaleIgnore)
 }
 
-// TestAnalyzerSuite pins the suite: eleven analyzers, unique names,
+// TestAnalyzerSuite pins the suite: nine analyzers, unique names,
 // docs present (rpmlint -list and the SARIF rule table depend on it).
 func TestAnalyzerSuite(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 11 {
-		t.Fatalf("suite has %d analyzers, want 11", len(as))
+	if len(as) != 9 {
+		t.Fatalf("suite has %d analyzers, want 9", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
@@ -163,7 +151,7 @@ func TestAnalyzerSuite(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	for _, name := range []string{"hotpathalloc", "ctxflow", "obsnames", "faultsite", "staleignore"} {
+	for _, name := range []string{"hotpathalloc", "ctxflow", "obsnames", "staleignore"} {
 		if !seen[name] {
 			t.Errorf("suite is missing %q", name)
 		}

@@ -3,57 +3,92 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestNilSafety drives every handle type through its full method set on
-// nil receivers: nothing may panic, and all reads return zero values.
+// TestNilSafety is the nil-handle contract ("instrumentation off costs
+// nothing and steers nothing"), checked by reflection rather than by
+// listing calls: starting from *Registry it follows every exported
+// method result that is a pointer to an obs type, and calls each
+// pointer-receiver method of every type it reaches on a nil receiver
+// with zero-value arguments. Nothing may panic, and every result must be
+// the zero value: a nil registry hands out nil handles and nil handles
+// read 0. A new handle type or method is covered as soon as a reachable
+// method returns it. Value-receiver methods are exempt: calling one
+// through a nil pointer dereferences it by definition.
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Pool("p") != nil || r.StartSpan("s") != nil {
-		t.Fatal("nil registry must hand out nil handles")
+	pkg := reflect.TypeOf(Registry{}).PkgPath()
+	// Nil reads whose documented result is not the zero value; their
+	// values are pinned after the walk.
+	nonZero := map[string]bool{"Snapshot.JSON": true, "Snapshot.Text": true}
+	seen := map[reflect.Type]bool{}
+	queue := []reflect.Type{reflect.TypeOf((*Registry)(nil))}
+	for len(queue) > 0 {
+		pt := queue[0]
+		queue = queue[1:]
+		if seen[pt] {
+			continue
+		}
+		seen[pt] = true
+		elem := pt.Elem()
+		for i := 0; i < pt.NumMethod(); i++ {
+			m := pt.Method(i)
+			if _, byValue := elem.MethodByName(m.Name); byValue {
+				continue
+			}
+			name := elem.Name() + "." + m.Name
+			mt := m.Type // receiver first
+			args := []reflect.Value{reflect.Zero(pt)}
+			for j := 1; j < mt.NumIn(); j++ {
+				args = append(args, reflect.Zero(mt.In(j)))
+			}
+			for k := 0; k < mt.NumOut(); k++ {
+				if out := mt.Out(k); out.Kind() == reflect.Pointer && out.Elem().PkgPath() == pkg {
+					queue = append(queue, out)
+				}
+			}
+			results, panicked := callRecovered(m.Func, args, mt.IsVariadic())
+			if panicked != nil {
+				t.Errorf("(*%s).%s on a nil receiver panicked: %v", elem.Name(), m.Name, panicked)
+				continue
+			}
+			for k, r := range results {
+				if !nonZero[name] && !r.IsZero() {
+					t.Errorf("(*%s).%s on a nil receiver: result %d = %v, want the zero value", elem.Name(), m.Name, k, r)
+				}
+			}
+		}
 	}
-	if r.Snapshot() != nil {
-		t.Fatal("nil registry snapshot must be nil")
+	// The walk must keep reaching every handle and snapshot type; a
+	// result type changed to an interface or a value would silently
+	// shrink it.
+	for _, v := range []any{(*Counter)(nil), (*Gauge)(nil), (*Pool)(nil), (*Summary)(nil),
+		(*Span)(nil), (*Snapshot)(nil), (*SpanSnapshot)(nil), (*SummarySnapshot)(nil)} {
+		if typ := reflect.TypeOf(v); !seen[typ] {
+			t.Errorf("nil-safety walk from *Registry never reached %v", typ)
+		}
 	}
-	var c *Counter
-	c.Add(3)
-	c.Inc()
-	if c.Value() != 0 {
-		t.Fatal("nil counter value")
-	}
-	var g *Gauge
-	g.Set(7)
-	g.SetMax(9)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
-	var s *Span
-	if s.Start("x") != nil || s.Child("y") != nil {
-		t.Fatal("nil span must produce nil children")
-	}
-	s.End()
-	s.Add(time.Second)
-	s.AddBusy(time.Second)
-	if s.Wall() != 0 {
-		t.Fatal("nil span wall")
-	}
-	var p *Pool
-	p.WorkerTask(0, time.Millisecond)
-	p.RunDone(4, time.Millisecond)
+
 	var snap *Snapshot
-	if snap.FindSpan("x") != nil || snap.Counter("c") != 0 {
-		t.Fatal("nil snapshot reads")
-	}
 	if b, err := snap.JSON(); err != nil || string(b) != "null" {
 		t.Fatalf("nil snapshot JSON = %q, %v", b, err)
 	}
 	if got := snap.Text(); !strings.Contains(got, "no instrumentation") {
 		t.Fatalf("nil snapshot text = %q", got)
 	}
+}
+
+// callRecovered calls fn, turning a panic into a returned value.
+func callRecovered(fn reflect.Value, args []reflect.Value, variadic bool) (out []reflect.Value, panicked any) {
+	defer func() { panicked = recover() }()
+	if variadic {
+		return fn.CallSlice(args), nil
+	}
+	return fn.Call(args), nil
 }
 
 func TestCountersAndGauges(t *testing.T) {

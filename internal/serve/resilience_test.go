@@ -10,7 +10,9 @@ package serve
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"rpm"
 	"rpm/internal/faults"
@@ -236,5 +238,83 @@ func TestWriteFaultAbortsConnection(t *testing.T) {
 	}
 	if n := s.reg.Snapshot().Counter(CtrErrPrefix + "internal"); n != 0 {
 		t.Fatalf("write abort surfaced as %d internal errors", n)
+	}
+}
+
+// TestEveryFaultSiteFires keeps internal/faults and the serving layer in
+// step: for every site faults.KnownSites declares, it arms that site
+// alone (p=1), drives the request that should consult it, and requires a
+// new Events() entry for it. A site whose consult was deleted from the
+// serving path fails here, and so does a new site nobody wired a
+// scenario for.
+func TestEveryFaultSiteFires(t *testing.T) {
+	predict := func(t *testing.T, _ *Server, ts *httptest.Server) {
+		rawPredict(ts, predictBody("cbf", fixProbe[0].Values))
+	}
+	// openFeed appends series to a fresh stream, then opens and drops its
+	// SSE feed: the handler replays the stream's events and flushes once.
+	openFeed := func(t *testing.T, ts *httptest.Server, series []float64) {
+		resp, body := postJSON(t, ts.URL+"/v1/streams/probe", streamBody("cbf", series))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("append: status %d: %s", resp.StatusCode, body)
+		}
+		if feed, err := ts.Client().Get(ts.URL + "/v1/streams/probe/events"); err == nil {
+			feed.Body.Close()
+		}
+	}
+	scenarios := map[faults.Site]func(t *testing.T, s *Server, ts *httptest.Server){
+		faults.SiteEnqueueFull: predict,
+		faults.SiteFlushDelay:  predict,
+		faults.SiteDeadline:    predict,
+		faults.SiteWriteFail:   predict,
+		faults.SiteStoreLoad: func(t *testing.T, s *Server, _ *httptest.Server) {
+			if _, err := s.Reload(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		faults.SiteStreamAppend: func(t *testing.T, _ *Server, ts *httptest.Server) {
+			postJSON(t, ts.URL+"/v1/streams/probe", streamBody("cbf", fixProbe[0].Values))
+		},
+		faults.SiteSSEFlush: func(t *testing.T, _ *Server, ts *httptest.Server) {
+			openFeed(t, ts, fixProbe[0].Values)
+		},
+		faults.SiteSSEWrite: func(t *testing.T, _ *Server, ts *httptest.Server) {
+			// The write site is consulted per replayed event, so the
+			// stream needs at least one committed event.
+			series, _ := eventfulSeries(t, fixClf1, Config{StreamConfirm: 1}, 1)
+			openFeed(t, ts, series)
+		},
+	}
+	for _, site := range faults.KnownSites() {
+		drive, ok := scenarios[site]
+		if !ok {
+			t.Errorf("fault site %s has no scenario: add the request that consults it", site)
+			continue
+		}
+		t.Run(site.String(), func(t *testing.T) {
+			inj, err := faults.New(7, site.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ts, _ := newTestServer(t, func(c *Config) {
+				c.Faults = inj
+				c.StreamConfirm = 1
+			})
+			fired := func() (n int) {
+				for _, ev := range inj.Events() {
+					if ev.Site == site.String() {
+						n++
+					}
+				}
+				return n
+			}
+			before := fired()
+			drive(t, s, ts)
+			for deadline := time.Now().Add(5 * time.Second); fired() == before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never fired: the serving path that should consult it no longer does", site)
+				}
+			}
+		})
 	}
 }

@@ -58,14 +58,6 @@ import "rpm/internal/obs"
 func record(reg *obs.Registry) { reg.Counter("drill.raw.name").Inc() }
 EOF
 
-run_case faultsite <<'EOF'
-package lintdrill
-
-import "rpm/internal/faults"
-
-func hit(in *faults.Injector) bool { return in.Fire("drill.bogus.site") }
-EOF
-
 run_case staleignore <<'EOF'
 package lintdrill
 
@@ -73,4 +65,4 @@ package lintdrill
 func stale() int { return 3 }
 EOF
 
-echo "lint-drill: all 5 analyzers proved live"
+echo "lint-drill: all 4 analyzers proved live"
